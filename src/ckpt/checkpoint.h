@@ -92,11 +92,17 @@ class Serializer
         put_u16(static_cast<std::uint16_t>(v >> 16));
     }
 
+    /** One resize for all eight bytes rather than eight push_backs,
+     *  whose end-pointer updates serialize: u64 keys and words are
+     *  most of a fleet checkpoint. */
     void
     put_u64(std::uint64_t v)
     {
-        put_u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-        put_u32(static_cast<std::uint32_t>(v >> 32));
+        const std::size_t at = buf_.size();
+        buf_.resize(at + 8);
+        std::uint8_t *out = buf_.data() + at;
+        for (int i = 0; i < 8; ++i)
+            out[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
     void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
@@ -171,12 +177,22 @@ class Deserializer
         return lo | (hi << 16);
     }
 
+    /** One bounds check for all eight bytes. A short read consumes
+     *  the rest of the stream and fails it, as eight get_u8s would. */
     std::uint64_t
     get_u64()
     {
-        std::uint64_t lo = get_u32();
-        std::uint64_t hi = get_u32();
-        return lo | (hi << 32);
+        if (size_ - pos_ < 8) {
+            pos_ = size_;
+            ok_ = false;
+            return 0;
+        }
+        const std::uint8_t *in = data_ + pos_;
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+        pos_ += 8;
+        return v;
     }
 
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }

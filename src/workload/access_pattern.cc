@@ -90,7 +90,7 @@ AccessPattern::AccessPattern(const JobProfile &profile,
     // Stagger initial accesses: active classes start within the
     // first minutes, cold/frozen pages get one early touch and then
     // follow their distribution.
-    queue_.reserve(num_pages);
+    queue_.reset(num_pages, start);
     for (PageId p = 0; p < num_pages; ++p) {
         SimTime first;
         switch (classes_[p]) {
@@ -126,7 +126,7 @@ AccessPattern::ckpt_save(Serializer &s) const
     for (ReuseClass c : classes_)
         s.put_u8(static_cast<std::uint8_t>(c));
     s.put_rng(rng_);
-    s.put_u64_vec(queue_.raw());
+    queue_.ckpt_save(s);
     s.put_i64(next_scan_);
 }
 
@@ -144,15 +144,11 @@ AccessPattern::ckpt_load(Deserializer &d)
         c = static_cast<ReuseClass>(raw);
     }
     d.get_rng(rng_);
-    std::vector<std::uint64_t> heap = d.get_u64_vec();
-    next_scan_ = d.get_i64();
-    if (!d.ok() || heap.size() > num)
+    if (!queue_.ckpt_load(d, static_cast<std::uint32_t>(num)))
         return false;
-    for (std::uint64_t key : heap) {
-        if ((key & 0xffffffffu) >= num)
-            return false;
-    }
-    queue_.restore_raw(std::move(heap));
+    next_scan_ = d.get_i64();
+    if (!d.ok())
+        return false;
     if ((profile_.scan_interval_mean > 0) != (next_scan_ != 0))
         return false;
     return true;

@@ -2,12 +2,12 @@
  * @file
  * Per-job page-access generation.
  *
- * Every page carries a next-access time in a min-heap; accessing a
- * page draws the next inter-access gap from its reuse class's
- * distribution (exponential for hot pages, lognormal for warm,
- * Pareto for cold, mostly-never for frozen, windowed for diurnal).
- * Stepping the pattern pops all events inside the step window and
- * invokes a callback per access.
+ * Every page carries a next-access time in a calendar-wheel event
+ * queue (event_queue.h); accessing a page draws the next
+ * inter-access gap from its reuse class's distribution (exponential
+ * for hot pages, lognormal for warm, Pareto for cold, mostly-never
+ * for frozen, windowed for diurnal). Stepping the pattern pops all
+ * events inside the step window and invokes a callback per access.
  *
  * This renewal-process construction is what makes minute-granularity
  * fleet simulation tractable: cost is proportional to accesses
@@ -55,8 +55,8 @@ class AccessPattern
 
     /**
      * Checkpointable-shaped snapshot of the renewal-process state:
-     * per-page reuse classes, the generator, the packed event heap
-     * verbatim, and the next scan time. The profile is restored by
+     * per-page reuse classes, the generator, the set of queued event
+     * keys, and the next scan time. The profile is restored by
      * the owning Job, not here.
      */
     void ckpt_save(Serializer &s) const;
@@ -74,10 +74,10 @@ class AccessPattern
     {
         SimTime end = now + dt;
         // Batch drain: the queue hands over each due event and takes
-        // the replacement key back in the same heap operation. The
-        // RNG draw order (is_write, then the gap draws inside
-        // next_event_key) matches the historical pop/emplace loop
-        // exactly, so trajectories are unchanged.
+        // the replacement key back. The RNG draw order (is_write,
+        // then the gap draws inside next_event_key) matches the
+        // historical pop/emplace loop exactly, so trajectories are
+        // unchanged.
         std::uint64_t accesses = queue_.drain_until(
             end, [&](SimTime t, PageId page) -> std::uint64_t {
                 bool is_write = rng_.next_bool(profile_.write_frac);
@@ -122,7 +122,8 @@ class AccessPattern
      * Draw the next gap for a page and return its packed event key,
      * or 0 to retire the page (frozen pages that are never touched
      * again). Rescheduled times are always >= accessed_at + 1 s, so 0
-     * cannot collide with a real key.
+     * cannot collide with a real key; EventQueue::drain_until asserts
+     * it, because its per-second batches rely on it.
      */
     std::uint64_t next_event_key(PageId page, SimTime accessed_at);
 

@@ -5,40 +5,55 @@
  * one event and pushes the next, so fleet steps spend most of their
  * cycles here.
  *
- * Two representation choices buy a large constant factor over
- * std::priority_queue<std::pair<SimTime, PageId>>:
+ * The queue is a calendar wheel (Brown, CACM 1988) with one slot per
+ * simulated second, sized for how the renewal process reschedules:
+ * hot, warm and active-diurnal gaps are seconds to a few minutes, and
+ * every rescheduled access lands at least 1 s after the access that
+ * scheduled it.
  *
- *  - Events pack into one 64-bit word (time in the high 32 bits,
- *    page in the low 32), so an element is 8 bytes instead of 16 and
- *    ordering is a single integer compare. The packed order is
- *    exactly the lexicographic (time, page) order of the pair-based
- *    queue, so simulation trajectories are bit-identical.
- *  - The heap is 4-ary rather than binary: half the levels, and the
- *    four children of a node share a cache line, which matters when
- *    the heap spans hundreds of thousands of far-future events.
+ *  - The wheel covers kWheelSpan seconds [base, base + kWheelSpan).
+ *    Each slot is an intrusive singly linked list threaded through a
+ *    per-page u32 link array, so queueing an event is two stores.
+ *  - Events at or past base + kWheelSpan (cold, frozen and dormant
+ *    diurnal pages) go to a 4-ary min-heap of packed keys.
+ *  - drain_until() walks the seconds in order. For each second it
+ *    gathers the slot plus the heap events due then, sorts them by
+ *    page and hands them over. When the wheel is empty it jumps to
+ *    the heap top, so cost follows events, not elapsed seconds.
  *
- * Each page has at most one queued event, so keys are unique and the
- * pop order is a total order independent of heap shape.
+ * Events pack into one 64-bit key (time in the high 32 bits, page in
+ * the low 32), whose integer order is the lexicographic (time, page)
+ * order. Each page has at most one queued event, so keys are unique
+ * and drain_until() pops them in exactly that total order, whatever
+ * the wheel/heap split. Checkpoints therefore store the set of keys
+ * (in any order) rather than any internal layout.
  */
 
 #ifndef SDFM_WORKLOAD_EVENT_QUEUE_H
 #define SDFM_WORKLOAD_EVENT_QUEUE_H
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "mem/page.h"
-#include "util/invariant.h"
 #include "util/logging.h"
 #include "util/sim_time.h"
 
 namespace sdfm {
 
-/** 4-ary min-heap of packed (time, page) access events. */
+/** Calendar wheel of packed (time, page) access events. */
 class EventQueue
 {
   public:
-    /** Pack (time, page) into the heap's key order.
+    /** Seconds the wheel spans (one slot each). Later events go to
+     *  the overflow heap. A power of two, so slots index by mask. */
+    static constexpr SimTime kWheelSpan = 512;
+
+    /** Pack (time, page) into the queue's key order.
      *  @p t must fit in 32 bits (~136 simulated years). */
     static std::uint64_t
     make_key(SimTime t, PageId page)
@@ -47,88 +62,115 @@ class EventQueue
         return (static_cast<std::uint64_t>(t) << 32) | page;
     }
 
-    /** Queue an access to @p page at time @p t. */
+    /** Empty the queue for pages [0, @p num_pages), with the wheel
+     *  starting at @p base (no event may be queued before it). */
+    void
+    reset(std::uint32_t num_pages, SimTime base)
+    {
+        link_.assign(num_pages, kNil);
+        heads_.fill(kNil);
+        wheel_size_ = 0;
+        base_ = base;
+        heap_.clear();
+        marks_.assign((num_pages + 63) / 64, 0);
+    }
+
+    /** Queue an access to @p page at time @p t >= the wheel base.
+     *  The page must not already be queued. */
     void
     emplace(SimTime t, PageId page)
     {
-        heap_.push_back(make_key(t, page));
-        sift_up(heap_.size() - 1);
+        SDFM_ASSERT(t >= base_ && page < link_.size());
+        insert(make_key(t, page));
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-    void reserve(std::size_t n) { heap_.reserve(n); }
-
-    /** Timestamp of the earliest event. */
-    SimTime top_time() const
-    {
-        return static_cast<SimTime>(heap_.front() >> 32);
-    }
-
-    /** Page of the earliest event. */
-    PageId top_page() const
-    {
-        return static_cast<PageId>(heap_.front() & 0xffffffffu);
-    }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return wheel_size_ + heap_.size(); }
 
     /**
-     * The packed heap array, verbatim. Checkpointing serializes this
-     * raw representation (rather than draining the queue) so a
-     * restored queue is bit-identical: pop order is a total order
-     * over unique keys either way, but the heap layout also feeds
-     * nothing downstream, so copying it wholesale is both exact and
-     * O(n).
+     * The key set: a count, then one packed key per event (wheel
+     * slots in time order, then the heap array). Streams straight
+     * into @p s.
      */
-    const std::vector<std::uint64_t> &raw() const { return heap_; }
-
-    /** Replace the heap with a serialized raw() array. */
     void
-    restore_raw(std::vector<std::uint64_t> heap)
+    ckpt_save(Serializer &s) const
     {
-        heap_ = std::move(heap);
-        if constexpr (kInvariantsEnabled) {
-            for (std::size_t i = 1; i < heap_.size(); ++i) {
-                SDFM_INVARIANT(heap_[(i - 1) / kArity] <= heap_[i],
-                               "restored event heap violates heap order");
-            }
+        s.put_u64(size());
+        for (SimTime t = base_; t < base_ + kWheelSpan; ++t) {
+            const std::uint64_t time_bits = static_cast<std::uint64_t>(t)
+                                            << 32;
+            for (PageId p = heads_[slot(t)]; p != kNil; p = link_[p])
+                s.put_u64(time_bits | p);
         }
-    }
-
-    /** Remove the earliest event. */
-    void
-    pop()
-    {
-        std::uint64_t last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            sift_down(last);
+        for (std::uint64_t key : heap_)
+            s.put_u64(key);
     }
 
     /**
-     * Replace the earliest event with @p key in one sift instead of a
-     * pop (full sift from the back) plus an emplace (sift up from the
-     * back) -- the common pop-reschedule step does half the heap work.
-     * The heap layout this produces can differ from pop+emplace, but
-     * layout feeds nothing: pop order is a total order over unique
-     * keys, and raw() is only ever copied verbatim.
+     * Rebuild from a key set for pages [0, @p num_pages) in O(n).
+     * Keys may come in any order; the wheel base becomes the earliest
+     * key's time. Returns false on a page out of range or a page
+     * listed twice (which would otherwise tie a slot list into a
+     * cycle).
      */
-    void
-    replace_top(std::uint64_t key)
+    bool
+    ckpt_load(Deserializer &d, std::uint32_t num_pages)
     {
-        SDFM_ASSERT(!heap_.empty());
-        sift_down(key);
+        std::size_t n = d.get_size(num_pages, 8);
+        if (!d.ok())
+            return false;
+        link_.assign(num_pages, kNil);
+        heads_.fill(kNil);
+        wheel_size_ = 0;
+        heap_.clear();
+        heap_.reserve(n);
+        // marks_ doubles as the seen-page bitmap.
+        marks_.assign((num_pages + 63) / 64, 0);
+        SimTime base = 0xffffffffLL;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t key = d.get_u64();
+            heap_.push_back(key);
+            PageId page = key_page(key);
+            if (page >= num_pages)
+                return false;
+            std::uint64_t bit = std::uint64_t{1} << (page % 64);
+            if (marks_[page / 64] & bit)
+                return false;
+            marks_[page / 64] |= bit;
+            base = std::min(base, key_time(key));
+        }
+        if (!d.ok())
+            return false;
+        std::fill(marks_.begin(), marks_.end(), 0);
+        base_ = n > 0 ? base : 0;
+        // Partition in place: wheel events into their slots, the rest
+        // compacted to the front of heap_, then heapified bottom-up.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t key = heap_[i];
+            if (key_time(key) - base_ < kWheelSpan)
+                link_front(key);
+            else
+                heap_[kept++] = key;
+        }
+        heap_.resize(kept);
+        if (heap_.capacity() > 2 * kept)
+            heap_.shrink_to_fit();
+        if (kept > 1) {
+            for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;)
+                sift_down(i, heap_[i]);
+        }
+        return true;
     }
 
     /**
-     * Pop every event earlier than @p end, in time order, calling
-     * handler(t, page) for each. The handler returns the event's
-     * replacement key (from make_key) to reschedule its page, or 0 to
-     * retire it. 0 is never a live key here: rescheduled times are
-     * always >= 1 s in the future.
-     *
-     * This is the simulator's hottest loop; batching it here lets one
-     * call amortize the end-key computation and use replace_top for
-     * rescheduled events instead of pop+emplace.
+     * Pop every event earlier than @p end, in (time, page) order,
+     * calling handler(t, page) for each. The handler returns the
+     * event's replacement key (from make_key, for the same page) to
+     * reschedule its page, or 0 to retire it. A replacement must be
+     * at least 1 s after t: that keeps every event of second t in
+     * the batch gathered for it, which is what makes the pop order
+     * exact. The queue asserts it.
      *
      * @return Number of events handled.
      */
@@ -136,24 +178,119 @@ class EventQueue
     std::uint64_t
     drain_until(SimTime end, Handler &&handler)
     {
-        const std::uint64_t end_key = make_key(end, 0);
         std::uint64_t handled = 0;
-        while (!heap_.empty() && heap_.front() < end_key) {
-            const std::uint64_t cur = heap_.front();
-            std::uint64_t next =
-                handler(static_cast<SimTime>(cur >> 32),
-                        static_cast<PageId>(cur & 0xffffffffu));
-            if (next != 0)
-                replace_top(next);
-            else
-                pop();
-            ++handled;
+        for (;;) {
+            SimTime t = base_;
+            if (wheel_size_ == 0) {
+                if (heap_.empty())
+                    break;
+                t = key_time(heap_.front());
+            }
+            if (t >= end)
+                break;
+            PageId &head = heads_[slot(t)];
+            due_.clear();
+            PageId lo = kNil;
+            PageId hi = 0;
+            for (PageId p = head; p != kNil; p = link_[p]) {
+                due_.push_back(p);
+                lo = std::min(lo, p);
+                hi = std::max(hi, p);
+            }
+            head = kNil;
+            wheel_size_ -= due_.size();
+            const std::uint64_t next_second = make_key(t + 1, 0);
+            while (!heap_.empty() && heap_.front() < next_second) {
+                const PageId p = key_page(heap_.front());
+                due_.push_back(p);
+                lo = std::min(lo, p);
+                hi = std::max(hi, p);
+                pop_heap();
+            }
+            base_ = t + 1;
+            if (due_.empty())
+                continue;
+            auto dispatch = [&](PageId page) {
+                const std::uint64_t next = handler(t, page);
+                if (next != 0) {
+                    SDFM_ASSERT(next >= next_second &&
+                                key_page(next) == page);
+                    insert(next);
+                }
+            };
+            // Page order: a dense batch is marked in a bitmap and
+            // read back in order; a sparse one is sorted.
+            const std::size_t first_word = lo / 64;
+            const std::size_t last_word = hi / 64;
+            if (last_word - first_word < kDenseWordsPerEvent * due_.size()) {
+                for (PageId p : due_)
+                    marks_[p / 64] |= std::uint64_t{1} << (p % 64);
+                for (std::size_t w = first_word; w <= last_word; ++w) {
+                    std::uint64_t bits = marks_[w];
+                    marks_[w] = 0;
+                    while (bits != 0) {
+                        dispatch(static_cast<PageId>(
+                            w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits))));
+                        bits &= bits - 1;
+                    }
+                }
+            } else {
+                std::sort(due_.begin(), due_.end());
+                for (PageId page : due_)
+                    dispatch(page);
+            }
+            handled += due_.size();
         }
         return handled;
     }
 
   private:
     static constexpr std::size_t kArity = 4;
+    static constexpr PageId kNil = 0xffffffffu;
+    /** A batch is read back through the bitmap when its page span
+     *  covers fewer than this many bitmap words per event. */
+    static constexpr std::size_t kDenseWordsPerEvent = 4;
+
+    static SimTime
+    key_time(std::uint64_t key)
+    {
+        return static_cast<SimTime>(key >> 32);
+    }
+
+    static PageId
+    key_page(std::uint64_t key)
+    {
+        return static_cast<PageId>(key & 0xffffffffu);
+    }
+
+    static std::size_t
+    slot(SimTime t)
+    {
+        return static_cast<std::size_t>(t & (kWheelSpan - 1));
+    }
+
+    void
+    link_front(std::uint64_t key)
+    {
+        const PageId page = key_page(key);
+        PageId &head = heads_[slot(key_time(key))];
+        link_[page] = head;
+        head = page;
+        ++wheel_size_;
+    }
+
+    /** Queue @p key, whose time is at or after the wheel base. */
+    void
+    insert(std::uint64_t key)
+    {
+        if (key_time(key) - base_ < kWheelSpan) {
+            link_front(key);
+        } else {
+            heap_.push_back(key);
+            sift_up(heap_.size() - 1);
+        }
+    }
 
     void
     sift_up(std::size_t i)
@@ -169,13 +306,11 @@ class EventQueue
         heap_[i] = key;
     }
 
-    /** Place @p key (the displaced last element) starting at the
-     *  root, walking the min child at each level. */
+    /** Place @p key at node @p i, walking the min child down. */
     void
-    sift_down(std::uint64_t key)
+    sift_down(std::size_t i, std::uint64_t key)
     {
         std::size_t n = heap_.size();
-        std::size_t i = 0;
         for (;;) {
             std::size_t first_child = i * kArity + 1;
             if (first_child >= n)
@@ -196,7 +331,34 @@ class EventQueue
         heap_[i] = key;
     }
 
+    void
+    pop_heap()
+    {
+        std::uint64_t last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            sift_down(0, last);
+    }
+
+    // sdfm-state: derived(slot lists rebuilt by ckpt_load from the
+    // serialized key set)
+    std::vector<PageId> link_;
+    // sdfm-state: derived(slot lists rebuilt by ckpt_load from the
+    // serialized key set)
+    std::array<PageId, kWheelSpan> heads_{};
+    // sdfm-state: derived(count of the keys ckpt_load links into the
+    // wheel)
+    std::size_t wheel_size_ = 0;
+    // sdfm-state: derived(earliest serialized key time on restore;
+    // moves only the wheel/heap split, never the pop order)
+    SimTime base_ = 0;
     std::vector<std::uint64_t> heap_;
+    // sdfm-state: non-semantic(per-second batch scratch, refilled for
+    // every batch drain_until hands over)
+    std::vector<PageId> due_;
+    // sdfm-state: non-semantic(per-page bitmap that orders dense
+    // batches; all zero between batches)
+    std::vector<std::uint64_t> marks_;
 };
 
 }  // namespace sdfm

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -621,6 +622,75 @@ TEST(FleetCkpt, RejectionsLeaveLiveFleetUntouched)
         ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
         expect_rejected(CkptStatus::kCorruptPayload);
     }
+}
+
+TEST(FleetCkpt, DuplicateEventPageIsRejected)
+{
+    // A CRC-valid checkpoint whose access-event section lists one page
+    // twice. Restored as is, the duplicate would link the page into
+    // two calendar-wheel slots and tie a slot list into a cycle, so
+    // the next step would never finish; restore must refuse it.
+    TempCkpt good("fleet_ckpt_dup_good.ckpt");
+    TempCkpt bad("fleet_ckpt_dup_bad.ckpt");
+    FleetConfig config = small_fleet_config();
+
+    FarMemorySystem fleet(config);
+    fleet.populate();
+    for (int i = 0; i < 4; ++i)
+        fleet.step();
+    ASSERT_EQ(fleet.checkpoint(good.path), CkptStatus::kOk);
+
+    // The first job's AccessPattern encoding, exactly as the cluster
+    // section holds it: u64 page count, one class byte per page, the
+    // generator (4 u64 words, a bool, a double), u64 key count, the
+    // packed keys, then the next scan time.
+    Serializer pattern;
+    const Machine &machine = *fleet.clusters()[0]->machines()[0];
+    ASSERT_FALSE(machine.jobs().empty());
+    machine.jobs()[0]->pattern().ckpt_save(pattern);
+    const std::vector<std::uint8_t> &original = pattern.bytes();
+    Deserializer header(original);
+    const std::size_t num_pages = header.get_u64();
+    const std::size_t keys_at = 8 + num_pages + 4 * 8 + 1 + 8 + 8;
+    Deserializer count_reader(original.data() + keys_at - 8, 8);
+    ASSERT_GE(count_reader.get_u64(), 2u);
+
+    // Point the second key at the first key's page. The key count and
+    // every length stay the same, so the payload splices in place.
+    std::vector<std::uint8_t> duplicated = original;
+    for (std::size_t b = 0; b < 4; ++b)
+        duplicated[keys_at + 8 + b] = duplicated[keys_at + b];
+
+    CkptReader reader;
+    ASSERT_EQ(reader.read_file(good.path), CkptStatus::kOk);
+    CkptWriter writer;
+    int spliced = 0;
+    for (const CkptSection &section : reader.sections()) {
+        std::vector<std::uint8_t> payload = section.payload;
+        if (section.name == "cluster.0000") {
+            auto at = std::search(payload.begin(), payload.end(),
+                                  original.begin(), original.end());
+            ASSERT_NE(at, payload.end());
+            std::copy(duplicated.begin(), duplicated.end(), at);
+            ++spliced;
+        }
+        writer.add_section(section.name, std::move(payload));
+    }
+    ASSERT_EQ(spliced, 1);
+    ASSERT_EQ(writer.write_file(bad.path), CkptStatus::kOk);
+
+    for (int i = 0; i < 2; ++i)
+        fleet.step();
+    const std::uint64_t live_digest = fleet.state_digest();
+    const SimTime live_now = fleet.now();
+    EXPECT_EQ(fleet.restore(bad.path), CkptStatus::kCorruptPayload);
+    EXPECT_EQ(fleet.state_digest(), live_digest)
+        << "a rejected restore mutated the live fleet";
+    EXPECT_EQ(fleet.now(), live_now);
+
+    // The untouched checkpoint still restores, and the fleet steps.
+    ASSERT_EQ(fleet.restore(good.path), CkptStatus::kOk);
+    fleet.step();
 }
 
 TEST(FleetCkpt, ConfigMismatchIsRejected)
